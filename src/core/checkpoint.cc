@@ -4,7 +4,7 @@
 #include <filesystem>
 
 #include "common/file_util.h"
-#include "common/hash.h"
+#include "common/swar.h"
 #include "data/io.h"
 #include "fault/fault.h"
 #include "json/parser.h"
@@ -12,6 +12,14 @@
 
 namespace dj::core {
 namespace fs = std::filesystem;
+
+namespace {
+// The only manifest schema read or written: it names the blob file and
+// records the blob's byte count, swar::Hash64 checksum and row count.
+// Manifests of any other schema (or missing a field) are rejected as
+// Corruption, and the run starts fresh.
+constexpr int64_t kManifestSchema = 3;
+}  // namespace
 
 std::string CheckpointManager::BlobFileFor(uint64_t pipeline_key) const {
   char buf[32];
@@ -56,7 +64,7 @@ Status CheckpointManager::Save(const CheckpointState& state) const {
   }
 
   json::Object manifest;
-  manifest.Set("schema", json::Value(static_cast<int64_t>(2)));
+  manifest.Set("schema", json::Value(kManifestSchema));
   manifest.Set("next_op_index",
                json::Value(static_cast<int64_t>(state.next_op_index)));
   manifest.Set("pipeline_key",
@@ -66,7 +74,7 @@ Status CheckpointManager::Save(const CheckpointState& state) const {
   manifest.Set("blob_file", json::Value(blob_file));
   manifest.Set("blob_bytes", json::Value(static_cast<int64_t>(blob.size())));
   manifest.Set("blob_checksum",
-               json::Value(static_cast<int64_t>(Fnv1a64(blob))));
+               json::Value(static_cast<int64_t>(swar::Hash64(blob))));
   const std::string manifest_json =
       json::Write(json::Value(std::move(manifest)), {.pretty = true});
 
@@ -97,35 +105,41 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
                               parsed.status().message());
   }
   const json::Value& manifest = parsed.value();
-
-  // Schema-2 manifests name their blob file and carry its checksum; legacy
-  // manifests implicitly mean checkpoint.djds with no verification data.
-  std::string blob_path = LegacyDatasetPath();
-  if (manifest.is_object()) {
-    if (const json::Value* bf = manifest.as_object().Find("blob_file");
-        bf != nullptr && bf->is_string()) {
-      blob_path = dir_ + "/" + bf->as_string();
+  const int64_t schema = manifest.GetInt("schema", 0);
+  if (schema != kManifestSchema) {
+    return Status::Corruption(
+        "checkpoint manifest " + ManifestPath() + " has schema " +
+        std::to_string(schema) + " (expected " +
+        std::to_string(kManifestSchema) + ")");
+  }
+  for (const char* field : {"blob_bytes", "blob_checksum", "num_rows"}) {
+    const json::Value* v = manifest.as_object().Find(field);
+    if (v == nullptr || !v->is_int()) {
+      return Status::Corruption("checkpoint manifest " + ManifestPath() +
+                                " lacks integer field '" + field + "'");
     }
   }
+  const json::Value* bf = manifest.as_object().Find("blob_file");
+  if (bf == nullptr || !bf->is_string()) {
+    return Status::Corruption("checkpoint manifest " + ManifestPath() +
+                              " lacks string field 'blob_file'");
+  }
+  const std::string blob_path = dir_ + "/" + bf->as_string();
   auto blob = data::ReadFile(blob_path);
   if (!blob.ok()) {
     return Status::Corruption("checkpoint manifest " + ManifestPath() +
                               " points at missing/unreadable blob '" +
                               blob_path + "': " + blob.status().message());
   }
-  if (manifest.is_object() &&
-      manifest.as_object().Contains("blob_checksum")) {
-    const uint64_t want =
-        static_cast<uint64_t>(manifest.GetInt("blob_checksum", 0));
-    const int64_t want_bytes = manifest.GetInt("blob_bytes", -1);
-    if ((want_bytes >= 0 &&
-         blob.value().size() != static_cast<size_t>(want_bytes)) ||
-        Fnv1a64(blob.value()) != want) {
-      return Status::Corruption(
-          "checkpoint blob '" + blob_path +
-          "' does not match its manifest (checksum/size mismatch — torn or "
-          "corrupted write); refusing to decode");
-    }
+  const uint64_t want_checksum =
+      static_cast<uint64_t>(manifest.GetInt("blob_checksum", 0));
+  const int64_t want_bytes = manifest.GetInt("blob_bytes", 0);
+  if (blob.value().size() != static_cast<uint64_t>(want_bytes) ||
+      swar::Hash64(blob.value()) != want_checksum) {
+    return Status::Corruption(
+        "checkpoint blob '" + blob_path +
+        "' does not match its manifest (checksum/size mismatch — torn or "
+        "corrupted write); refusing to decode");
   }
 
   CheckpointState state;
@@ -139,9 +153,8 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
                               "' failed to decode: " +
                               dataset.status().message());
   }
-  const int64_t want_rows = manifest.GetInt("num_rows", -1);
-  if (want_rows >= 0 &&
-      dataset.value().NumRows() != static_cast<size_t>(want_rows)) {
+  const int64_t want_rows = manifest.GetInt("num_rows", 0);
+  if (dataset.value().NumRows() != static_cast<uint64_t>(want_rows)) {
     return Status::Corruption(
         "checkpoint blob '" + blob_path + "' decoded to " +
         std::to_string(dataset.value().NumRows()) + " rows but the manifest "
@@ -151,21 +164,10 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
   return state;
 }
 
-Result<CheckpointState> CheckpointManager::LoadIfCompatible(
-    uint64_t expected_key) const {
-  auto state = LoadLatest();
-  if (!state.ok()) return state;
-  if (state.value().pipeline_key != expected_key) {
-    return Status::NotFound("checkpoint pipeline key mismatch (recipe changed)");
-  }
-  return state;
-}
-
 void CheckpointManager::Clear() const {
   std::error_code ec;
   fs::remove(ManifestPath(), ec);
   fs::remove(ManifestPath() + ".tmp", ec);
-  fs::remove(LegacyDatasetPath(), ec);
   RemoveStaleBlobs(/*keep_basename=*/"");
 }
 

@@ -25,13 +25,15 @@ struct CheckpointState {
 ///
 /// Save is crash-atomic: the blob is written to a per-pipeline-key file via
 /// temp-file + fsync + rename, and only then is the manifest — which names
-/// the blob file and records its FNV checksum — swung over the old one the
-/// same way. A crash at any point (including between blob and manifest)
-/// leaves the previous manifest/blob pair fully intact. LoadLatest verifies
-/// the manifest's blob checksum and row count before decoding, so a torn or
-/// mismatched blob is rejected with a clear Corruption error instead of
-/// being decoded into garbage. Fail points (src/fault) cover each crash
-/// window: ckpt.blob_write, ckpt.after_blob, ckpt.manifest_write.
+/// the blob file and records its size, row count and swar::Hash64 checksum —
+/// swung over the old one the same way. A crash at any point (including
+/// between blob and manifest) leaves the previous manifest/blob pair fully
+/// intact. LoadLatest verifies the manifest's blob checksum and row count
+/// before decoding, so a torn or mismatched blob is rejected with a clear
+/// Corruption error instead of being decoded into garbage. A manifest of any
+/// other schema, or one that lacks a field, is rejected the same way. Fail
+/// points (src/fault) cover each crash window: ckpt.blob_write,
+/// ckpt.after_blob, ckpt.manifest_write.
 ///
 /// Thread-compatibility: CheckpointManager holds no mutex by design — one
 /// instance belongs to one pipeline run and is driven from the executor
@@ -58,19 +60,11 @@ class CheckpointManager {
   /// text tells an operator what actually happened.
   Result<CheckpointState> LoadLatest() const;
 
-  /// Loads only when the stored pipeline key matches `expected_key` for the
-  /// stored op index — i.e., the recipe prefix is unchanged. Mismatch or
-  /// absence returns NotFound.
-  Result<CheckpointState> LoadIfCompatible(uint64_t expected_key) const;
-
-  /// Removes the manifest, every checkpoint blob (current scheme and
-  /// legacy single-file), and any stale temp files.
+  /// Removes the manifest, every checkpoint blob and any stale temp files.
   void Clear() const;
 
  private:
   std::string ManifestPath() const { return dir_ + "/checkpoint.json"; }
-  /// Legacy (pre-atomic-Save) single blob path, still readable.
-  std::string LegacyDatasetPath() const { return dir_ + "/checkpoint.djds"; }
   std::string BlobFileFor(uint64_t pipeline_key) const;
   void RemoveStaleBlobs(const std::string& keep_basename) const;
 

@@ -16,6 +16,11 @@
 namespace dj::core {
 namespace {
 
+/// How long an armed "exec.stall" fault sleeps at the unit boundary — busy,
+/// without beating the heartbeat — to simulate a hung OP. Long enough to
+/// trip a sub-100ms watchdog threshold, short enough not to slow tests.
+constexpr double kFaultStallSeconds = 0.35;
+
 /// Snapshot of the processed text field of every row (used by the Tracer to
 /// diff Mapper edits and to report removed duplicates).
 std::vector<std::string> SnapshotTexts(data::Dataset* ds,
@@ -250,10 +255,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     introspect::CurrentThreadState()->SetRole("executor");
   }
   Stopwatch total_watch;
-  if (!options_.faults.empty()) {
-    DJ_RETURN_IF_ERROR(fault::FaultRegistry::Global().Configure(
-        options_.faults));
-  }
   RunReport local_report;
   RunReport* rep = report != nullptr ? report : &local_report;
   rep->op_reports.clear();
@@ -397,11 +398,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
                                 : ops::OpKindName(plan[i].op->kind());
     r.rows_in = dataset.NumRows();
 
-    if (options_.inject_failure_at == static_cast<int>(i)) {
-      // Checkpoint (if enabled) holds the state after unit i-1 already.
-      return Status::Internal("injected failure before unit " +
-                              r.name);
-    }
     // Fail-point probe at every OP boundary: an armed "exec.op_abort"
     // kills the pipeline here, after the state before this unit has been
     // checkpointed — the crash window --resume must cover.
@@ -414,7 +410,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     // watchdog's detection + dump path, not to kill anything.
     if (DJ_FAULT("exec.stall")) {
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(options_.fault_stall_seconds));
+          std::chrono::duration<double>(kFaultStallSeconds));
     }
     introspect::Heartbeat();
 
@@ -451,11 +447,14 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
         (i + 1) % static_cast<size_t>(every) == 0 || i + 1 == plan.size();
     if (checkpoints.has_value() && checkpoint_due) {
       obs::Span ckpt_span(options_.spans, "checkpoint.save", "checkpoint");
+      // Lend the dataset to the state for the Save and take it back
+      // whatever Save returns: no copy of the rows.
       CheckpointState state;
       state.next_op_index = i + 1;
       state.pipeline_key = key_before[i + 1];
-      state.dataset = dataset;
+      state.dataset = std::move(dataset);
       Status s = checkpoints->Save(state);
+      dataset = std::move(state.dataset);
       if (!s.ok()) DJ_LOG(Warning) << "checkpoint failed: " << s.ToString();
       if (options_.metrics != nullptr) {
         options_.metrics->GetCounter("checkpoint.saves")->Increment();

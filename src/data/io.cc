@@ -6,7 +6,6 @@
 
 #include "common/file_util.h"
 #include "common/swar.h"
-#include "common/hash.h"
 #include "common/sched_point.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -22,13 +21,12 @@ namespace dj::data {
 namespace {
 
 constexpr char kDatasetMagic[4] = {'D', 'J', 'D', 'S'};
-constexpr uint8_t kDatasetVersionV1 = 1;
-constexpr uint8_t kDatasetVersionV2 = 2;
-// v3 is the v2 layout with swar::Hash64 header/shard checksums in place of
-// byte-serial FNV-1a: same corruption coverage, ~4x the checksum speed.
-constexpr uint8_t kDatasetVersionV3 = 3;
+// The only container version read or written. Blobs of any other version
+// are rejected as Corruption; the cache and checkpoint layers treat that as
+// a miss and rebuild.
+constexpr uint8_t kDatasetVersion = 3;
 
-/// Sharding defaults for the v2 container. The auto shard count depends
+/// Sharding defaults for the container. The auto shard count depends
 /// only on the row count — never on the pool — so serial and parallel
 /// serialization produce identical bytes.
 constexpr size_t kRowsPerShard = 2048;
@@ -347,183 +345,6 @@ void MaybeParallelFor(ThreadPool* pool, size_t n,
   }
 }
 
-Result<Dataset> DeserializeDatasetV1(std::string_view bytes) {
-  size_t pos = 5;
-  uint64_t num_rows = 0, num_cols = 0;
-  if (!GetVarint(bytes, &pos, &num_rows) ||
-      !GetVarint(bytes, &pos, &num_cols)) {
-    return Status::Corruption("truncated DJDS header");
-  }
-  // Every cell costs at least one tag byte and every column a name; counts
-  // beyond the remaining bytes are corrupt (and must not drive reserve()).
-  if (num_cols > bytes.size() - pos) {
-    return Status::Corruption("DJDS column count exceeds payload");
-  }
-  if (num_cols > 0 && num_rows > bytes.size() - pos) {
-    return Status::Corruption("DJDS row count exceeds payload");
-  }
-  std::vector<std::string> col_names;
-  std::vector<std::vector<json::Value>> cols;
-  col_names.reserve(num_cols);
-  cols.reserve(num_cols);
-  for (uint64_t c = 0; c < num_cols; ++c) {
-    std::string name;
-    if (!GetString(bytes, &pos, &name)) {
-      return Status::Corruption("truncated column name");
-    }
-    std::vector<json::Value> cells;
-    cells.reserve(num_rows);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      json::Value v;
-      DJ_RETURN_IF_ERROR(DeserializeValueAt(bytes, &pos, &v, 0));
-      cells.push_back(std::move(v));
-    }
-    col_names.push_back(std::move(name));
-    cols.push_back(std::move(cells));
-  }
-  if (pos != bytes.size()) {
-    return Status::Corruption("trailing bytes in DJDS blob");
-  }
-  return Dataset::FromColumns(std::move(col_names), std::move(cols));
-}
-
-Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
-                                     uint8_t version) {
-  // v2 and v3 share the layout and differ only in checksum function.
-  auto checksum_of = [version](std::string_view s) {
-    return version == kDatasetVersionV3 ? swar::Hash64(s.data(), s.size())
-                                        : Fnv1a64(s);
-  };
-  size_t pos = 5;
-  uint64_t num_rows = 0, num_cols = 0;
-  if (!GetVarint(bytes, &pos, &num_rows) ||
-      !GetVarint(bytes, &pos, &num_cols)) {
-    return Status::Corruption("truncated DJDS header");
-  }
-  if (num_cols > bytes.size() - pos) {
-    return Status::Corruption("DJDS column count exceeds payload");
-  }
-  std::vector<std::string> col_names;
-  col_names.reserve(num_cols);
-  for (uint64_t c = 0; c < num_cols; ++c) {
-    std::string name;
-    if (!GetString(bytes, &pos, &name)) {
-      return Status::Corruption("truncated column name");
-    }
-    col_names.push_back(std::move(name));
-  }
-  size_t header_begin = 0;
-  uint64_t num_shards = 0;
-  if (!GetVarint(bytes, &pos, &num_shards)) {
-    return Status::Corruption("truncated DJDS shard count");
-  }
-  // Each shard table entry is >= 10 bytes (two varints + 8-byte checksum).
-  if (num_shards > (bytes.size() - pos) / 10) {
-    return Status::Corruption("DJDS shard table exceeds payload");
-  }
-  struct ShardEntry {
-    size_t row_begin = 0;
-    size_t row_count = 0;
-    size_t offset = 0;
-    size_t length = 0;
-    uint64_t checksum = 0;
-  };
-  std::vector<ShardEntry> shards(num_shards);
-  uint64_t rows_total = 0;
-  uint64_t payload_total = 0;
-  for (uint64_t s = 0; s < num_shards; ++s) {
-    uint64_t row_count = 0, length = 0;
-    if (!GetVarint(bytes, &pos, &row_count) ||
-        !GetVarint(bytes, &pos, &length) ||
-        !GetU64Fixed(bytes, &pos, &shards[s].checksum)) {
-      return Status::Corruption("truncated DJDS shard table");
-    }
-    if (length > bytes.size() || row_count > num_rows) {
-      return Status::Corruption("DJDS shard entry out of range");
-    }
-    shards[s].row_begin = static_cast<size_t>(rows_total);
-    shards[s].row_count = static_cast<size_t>(row_count);
-    shards[s].length = static_cast<size_t>(length);
-    rows_total += row_count;
-    payload_total += length;
-    if (rows_total > num_rows || payload_total > bytes.size()) {
-      return Status::Corruption("DJDS shard table out of range");
-    }
-  }
-  if (rows_total != num_rows) {
-    return Status::Corruption("DJDS shard rows do not sum to header rows");
-  }
-  // The shard checksums only cover payloads; this one covers everything
-  // before it (magic, counts, column names, shard table).
-  uint64_t header_checksum = 0;
-  size_t header_end = pos;
-  if (!GetU64Fixed(bytes, &pos, &header_checksum)) {
-    return Status::Corruption("truncated DJDS header checksum");
-  }
-  if (checksum_of(bytes.substr(header_begin, header_end)) !=
-      header_checksum) {
-    return Status::Corruption("DJDS header checksum mismatch");
-  }
-  if (pos + payload_total != bytes.size()) {
-    return Status::Corruption("DJDS payload size mismatch");
-  }
-  size_t cursor = pos;
-  for (auto& shard : shards) {
-    shard.offset = cursor;
-    cursor += shard.length;
-  }
-
-  // Decode shards concurrently, each into its own per-column cell vectors.
-  std::vector<std::vector<std::vector<json::Value>>> shard_cols(num_shards);
-  std::vector<Status> errors(num_shards, Status::Ok());
-  auto decode_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      std::string_view payload = bytes.substr(shards[s].offset,
-                                              shards[s].length);
-      if (checksum_of(payload) != shards[s].checksum) {
-        errors[s] = Status::Corruption("DJDS shard checksum mismatch");
-        continue;
-      }
-      std::vector<std::vector<json::Value>> cols(col_names.size());
-      size_t p = 0;
-      Status status;
-      for (size_t c = 0; c < col_names.size() && status.ok(); ++c) {
-        cols[c].reserve(shards[s].row_count);
-        for (size_t r = 0; r < shards[s].row_count; ++r) {
-          json::Value v;
-          status = DeserializeValueAt(payload, &p, &v, 0);
-          if (!status.ok()) break;
-          cols[c].push_back(std::move(v));
-        }
-      }
-      if (status.ok() && p != payload.size()) {
-        status = Status::Corruption("trailing bytes in DJDS shard");
-      }
-      if (!status.ok()) {
-        errors[s] = std::move(status);
-        continue;
-      }
-      shard_cols[s] = std::move(cols);
-    }
-  };
-  MaybeParallelFor(pool, num_shards, decode_range);
-  for (Status& s : errors) {
-    if (!s.ok()) return std::move(s);
-  }
-
-  // Ordered gather: move shard cells into whole columns.
-  std::vector<std::vector<json::Value>> cols(col_names.size());
-  for (size_t c = 0; c < col_names.size(); ++c) {
-    cols[c].reserve(num_rows);
-    for (size_t s = 0; s < num_shards; ++s) {
-      auto& cells = shard_cols[s][c];
-      cols[c].insert(cols[c].end(), std::make_move_iterator(cells.begin()),
-                     std::make_move_iterator(cells.end()));
-    }
-  }
-  return Dataset::FromColumns(std::move(col_names), std::move(cols));
-}
-
 }  // namespace
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -818,21 +639,6 @@ Result<json::Value> DeserializeValue(std::string_view bytes) {
   return v;
 }
 
-std::string SerializeDatasetV1(const Dataset& dataset) {
-  std::string out;
-  out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV1));
-  PutVarint(dataset.NumRows(), &out);
-  std::vector<std::string> names = dataset.ColumnNames();
-  PutVarint(names.size(), &out);
-  for (const std::string& name : names) {
-    PutString(name, &out);
-    const auto* cells = dataset.Column(name);
-    for (const auto& cell : *cells) SerializeValue(cell, &out);
-  }
-  return out;
-}
-
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
                              size_t num_shards) {
   DJ_OBS_SPAN("io.serialize_dataset");
@@ -885,7 +691,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   for (const std::string& p : payloads) payload_total += p.size();
   out.reserve(payload_total + 64 + names.size() * 16);
   out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV3));
+  out.push_back(static_cast<char>(kDatasetVersion));
   PutVarint(num_rows, &out);
   PutVarint(names.size(), &out);
   for (const std::string& name : names) PutString(name, &out);
@@ -908,13 +714,139 @@ Result<Dataset> DeserializeDataset(std::string_view bytes, ThreadPool* pool) {
   if (bytes.size() < 5 || std::memcmp(bytes.data(), kDatasetMagic, 4) != 0) {
     return Status::Corruption("not a DJDS dataset blob");
   }
-  uint8_t version = static_cast<uint8_t>(bytes[4]);
+  const uint8_t version = static_cast<uint8_t>(bytes[4]);
+  if (version != kDatasetVersion) {
+    return Status::Corruption("unsupported DJDS version " +
+                              std::to_string(version) + " (expected " +
+                              std::to_string(kDatasetVersion) + ")");
+  }
+  size_t pos = 5;
+  uint64_t num_rows = 0, num_cols = 0;
+  if (!GetVarint(bytes, &pos, &num_rows) ||
+      !GetVarint(bytes, &pos, &num_cols)) {
+    return Status::Corruption("truncated DJDS header");
+  }
+  if (num_cols > bytes.size() - pos) {
+    return Status::Corruption("DJDS column count exceeds payload");
+  }
+  std::vector<std::string> col_names;
+  col_names.reserve(num_cols);
+  for (uint64_t c = 0; c < num_cols; ++c) {
+    std::string name;
+    if (!GetString(bytes, &pos, &name)) {
+      return Status::Corruption("truncated column name");
+    }
+    col_names.push_back(std::move(name));
+  }
+  uint64_t num_shards = 0;
+  if (!GetVarint(bytes, &pos, &num_shards)) {
+    return Status::Corruption("truncated DJDS shard count");
+  }
+  // Each shard table entry is >= 10 bytes (two varints + 8-byte checksum).
+  if (num_shards > (bytes.size() - pos) / 10) {
+    return Status::Corruption("DJDS shard table exceeds payload");
+  }
+  struct ShardEntry {
+    size_t row_begin = 0;
+    size_t row_count = 0;
+    size_t offset = 0;
+    size_t length = 0;
+    uint64_t checksum = 0;
+  };
+  std::vector<ShardEntry> shards(num_shards);
+  uint64_t rows_total = 0;
+  uint64_t payload_total = 0;
+  for (uint64_t s = 0; s < num_shards; ++s) {
+    uint64_t row_count = 0, length = 0;
+    if (!GetVarint(bytes, &pos, &row_count) ||
+        !GetVarint(bytes, &pos, &length) ||
+        !GetU64Fixed(bytes, &pos, &shards[s].checksum)) {
+      return Status::Corruption("truncated DJDS shard table");
+    }
+    if (length > bytes.size() || row_count > num_rows) {
+      return Status::Corruption("DJDS shard entry out of range");
+    }
+    shards[s].row_begin = static_cast<size_t>(rows_total);
+    shards[s].row_count = static_cast<size_t>(row_count);
+    shards[s].length = static_cast<size_t>(length);
+    rows_total += row_count;
+    payload_total += length;
+    if (rows_total > num_rows || payload_total > bytes.size()) {
+      return Status::Corruption("DJDS shard table out of range");
+    }
+  }
+  if (rows_total != num_rows) {
+    return Status::Corruption("DJDS shard rows do not sum to header rows");
+  }
+  // The shard checksums only cover payloads; this one covers everything
+  // before it (magic, counts, column names, shard table).
+  uint64_t header_checksum = 0;
+  size_t header_end = pos;
+  if (!GetU64Fixed(bytes, &pos, &header_checksum)) {
+    return Status::Corruption("truncated DJDS header checksum");
+  }
+  if (swar::Hash64(bytes.data(), header_end) != header_checksum) {
+    return Status::Corruption("DJDS header checksum mismatch");
+  }
+  if (pos + payload_total != bytes.size()) {
+    return Status::Corruption("DJDS payload size mismatch");
+  }
+  size_t cursor = pos;
+  for (auto& shard : shards) {
+    shard.offset = cursor;
+    cursor += shard.length;
+  }
+
+  // Decode shards concurrently, each into its own per-column cell vectors.
+  std::vector<std::vector<std::vector<json::Value>>> shard_cols(num_shards);
+  std::vector<Status> errors(num_shards, Status::Ok());
+  auto decode_range = [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      std::string_view payload = bytes.substr(shards[s].offset,
+                                              shards[s].length);
+      if (swar::Hash64(payload.data(), payload.size()) != shards[s].checksum) {
+        errors[s] = Status::Corruption("DJDS shard checksum mismatch");
+        continue;
+      }
+      std::vector<std::vector<json::Value>> cols(col_names.size());
+      size_t p = 0;
+      Status status;
+      for (size_t c = 0; c < col_names.size() && status.ok(); ++c) {
+        cols[c].reserve(shards[s].row_count);
+        for (size_t r = 0; r < shards[s].row_count; ++r) {
+          json::Value v;
+          status = DeserializeValueAt(payload, &p, &v, 0);
+          if (!status.ok()) break;
+          cols[c].push_back(std::move(v));
+        }
+      }
+      if (status.ok() && p != payload.size()) {
+        status = Status::Corruption("trailing bytes in DJDS shard");
+      }
+      if (!status.ok()) {
+        errors[s] = std::move(status);
+        continue;
+      }
+      shard_cols[s] = std::move(cols);
+    }
+  };
+  MaybeParallelFor(pool, num_shards, decode_range);
+  for (Status& s : errors) {
+    if (!s.ok()) return std::move(s);
+  }
+
+  // Ordered gather: move shard cells into whole columns.
+  std::vector<std::vector<json::Value>> cols(col_names.size());
+  for (size_t c = 0; c < col_names.size(); ++c) {
+    cols[c].reserve(num_rows);
+    for (size_t s = 0; s < num_shards; ++s) {
+      auto& cells = shard_cols[s][c];
+      cols[c].insert(cols[c].end(), std::make_move_iterator(cells.begin()),
+                     std::make_move_iterator(cells.end()));
+    }
+  }
   Result<Dataset> out =
-      version == kDatasetVersionV1 ? DeserializeDatasetV1(bytes)
-      : version == kDatasetVersionV2 || version == kDatasetVersionV3
-          ? DeserializeDatasetV2(bytes, pool, version)
-          : Result<Dataset>(
-                Status::Corruption("unsupported DJDS version"));
+      Dataset::FromColumns(std::move(col_names), std::move(cols));
   if (out.ok()) {
     RecordIoMetrics("deserialize", out.value().NumRows(), bytes.size(),
                     watch.ElapsedSeconds());

@@ -38,22 +38,17 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 /// Binary cache codec for datasets (magic "DJDS"). Deterministic; used by
 /// the per-OP cache and checkpoint layers, optionally djlz-compressed there.
 ///
-/// The current container is version 2: a checksummed header (row/column
-/// counts, column names) followed by a shard table and N independently
-/// decodable row-range shards, each with a byte length and FNV checksum.
-/// Shards serialize and
-/// deserialize on `pool` when given; the byte stream depends only on the
-/// dataset and `num_shards` (0 = deterministic auto from the row count), so
-/// serial and parallel runs produce identical blobs. Version-1 blobs
-/// (single unsharded stream) still deserialize.
+/// The container is version 3: a checksummed header (row/column counts,
+/// column names) followed by a shard table and N independently decodable
+/// row-range shards, each with a byte length and swar::Hash64 checksum.
+/// Shards serialize and deserialize on `pool` when given; the byte stream
+/// depends only on the dataset and `num_shards` (0 = deterministic auto from
+/// the row count), so serial and parallel runs produce identical blobs.
+/// Blobs of any other version return Corruption naming the version found.
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,
                                    ThreadPool* pool = nullptr);
-
-/// Legacy version-1 writer, kept for backward-compat tests and tooling that
-/// needs to produce blobs older readers understand.
-std::string SerializeDatasetV1(const Dataset& dataset);
 
 /// Binary codec for a single JSON value (shared with the dataset codec).
 void SerializeValue(const json::Value& v, std::string* out);

@@ -11,6 +11,7 @@
 #include "core/space_model.h"
 #include "core/tracer.h"
 #include "data/io.h"
+#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
@@ -555,30 +556,29 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.value().next_op_index, 2u);
   EXPECT_EQ(loaded.value().pipeline_key, 777u);
   EXPECT_EQ(loaded.value().dataset.GetTextAt(0), "saved");
-  EXPECT_TRUE(mgr.LoadIfCompatible(777).ok());
-  EXPECT_FALSE(mgr.LoadIfCompatible(778).ok());
   mgr.Clear();
   EXPECT_FALSE(mgr.LoadLatest().ok());
 }
 
 TEST(ExecutorTest, ResumesAfterInjectedFailure) {
-  std::string dir = TempDir("ckpt_exec");
-  auto options = [&](int fail_at) {
-    Executor::Options o;
-    o.use_checkpoint = true;
-    o.checkpoint_dir = dir;
-    o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
-    return o;
-  };
+  Executor::Options options;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = TempDir("ckpt_exec");
+  options.dataset_source_id = "corpus-v1";
   auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
-  auto failed = failing.Run(NoisyCorpus(), ops1, nullptr);
-  EXPECT_FALSE(failed.ok());
+  {
+    // exec.op_abort is probed once per unit: the 8th probe fires before
+    // unit 7, after the checkpoint of unit 6.
+    fault::ScopedFaults faults("exec.op_abort=n8");
+    ASSERT_TRUE(faults.status().ok());
+    Executor failing(options);
+    auto failed = failing.Run(NoisyCorpus(), ops1, nullptr);
+    EXPECT_EQ(failed.status().code(), StatusCode::kAborted);
+  }
 
   // Re-run without injection: resumes from the checkpoint after unit 6.
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options);
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -590,7 +590,8 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   Executor clean(Executor::Options{});
   auto expected = clean.Run(NoisyCorpus(), ops3, nullptr);
   ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(result.value().NumRows(), expected.value().NumRows());
+  EXPECT_EQ(data::SerializeDataset(result.value()),
+            data::SerializeDataset(expected.value()));
 }
 
 TEST(ExecutorTest, RecipeChangeIgnoresIncompatibleCheckpoint) {
@@ -666,22 +667,21 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   // checkpoint_every_n_units = 4: after a failure at unit 7, the surviving
   // checkpoint is the one from unit 4, so the resumed run re-executes
   // units 4..13 (10 units) instead of 7.
-  std::string dir = TempDir("ckpt_freq");
-  auto options = [&](int fail_at) {
-    Executor::Options o;
-    o.use_checkpoint = true;
-    o.checkpoint_dir = dir;
-    o.checkpoint_every_n_units = 4;
-    o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
-    return o;
-  };
+  Executor::Options options;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = TempDir("ckpt_freq");
+  options.checkpoint_every_n_units = 4;
+  options.dataset_source_id = "corpus-v1";
   auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
-  EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
+  {
+    fault::ScopedFaults faults("exec.op_abort=n8");  // before unit 7
+    ASSERT_TRUE(faults.status().ok());
+    Executor failing(options);
+    EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
+  }
 
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options);
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok());

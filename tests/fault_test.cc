@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "data/io.h"
+#include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -293,9 +295,9 @@ TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
   EXPECT_NE(loaded.status().ToString().find("torn"), std::string::npos);
 }
 
-TEST(CheckpointCorruptionTest, LegacyManifestWithoutChecksumStillLoads) {
+TEST(CheckpointCorruptionTest, ManifestWithoutBlobFileIsRejected) {
   // Pre-atomic-Save layout: checkpoint.djds + a manifest with no
-  // blob_file/blob_checksum fields.
+  // blob_file/blob_checksum fields. It is refused, never decoded.
   std::string dir = TempDir("legacy");
   data::Dataset ds = data::Dataset::FromTexts({"old", "format"});
   ASSERT_TRUE(
@@ -308,10 +310,54 @@ TEST(CheckpointCorruptionTest, LegacyManifestWithoutChecksumStillLoads) {
 
   core::CheckpointManager mgr(dir);
   auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_op_index, 4u);
-  EXPECT_EQ(loaded.value().pipeline_key, 77u);
-  EXPECT_EQ(loaded.value().dataset.NumRows(), 2u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+
+  // Even with the current schema number, a manifest lacking blob_file is
+  // refused by name.
+  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
+                              "{\"schema\": 3, \"next_op_index\": 4, "
+                              "\"pipeline_key\": 77, \"num_rows\": 2, "
+                              "\"blob_bytes\": 1, \"blob_checksum\": 1}")
+                  .ok());
+  loaded = mgr.LoadLatest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("blob_file"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+/// Rewrites the checkpoint manifest in `dir` as the schema-2 writer of
+/// earlier builds laid it out: the same fields, an FNV-1a blob checksum.
+void DowngradeManifestToSchema2(const std::string& dir) {
+  const std::string path = dir + "/checkpoint.json";
+  auto text = data::ReadFile(path);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  auto manifest = json::ParseStrict(text.value());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  json::Object& fields = manifest.value().as_object();
+  auto blob = data::ReadFile(dir + "/" + fields.Find("blob_file")->as_string());
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  fields.Set("schema", json::Value(static_cast<int64_t>(2)));
+  fields.Set("blob_checksum",
+             json::Value(static_cast<int64_t>(Fnv1a64(blob.value()))));
+  ASSERT_TRUE(
+      data::WriteFile(path, json::Write(manifest.value(), {.pretty = true}))
+          .ok());
+}
+
+TEST(CheckpointCorruptionTest, SchemaTwoManifestIsRejected) {
+  std::string dir = TempDir("schema2");
+  core::CheckpointManager mgr(dir);
+  ASSERT_TRUE(mgr.Save(MakeState(2, 55, {"row one", "row two"})).ok());
+  ASSERT_TRUE(mgr.LoadLatest().ok());
+  DowngradeManifestToSchema2(dir);
+
+  auto loaded = mgr.LoadLatest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("schema 2"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 // ------------------------------------------------------- crash matrix ----
@@ -389,7 +435,7 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
   core::Executor clean_executor(base);
   auto clean = clean_executor.Run(SmallCorpus(), ops.value());
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  const std::string want_bytes = data::SerializeDatasetV1(clean.value());
+  const std::string want_bytes = data::SerializeDataset(clean.value());
 
   // Kill at boundary b (the b-th probe of exec.op_abort), resume, compare.
   // The loop discovers the number of plan units implicitly: when the
@@ -402,23 +448,23 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
     core::Executor::Options opts = base;
     opts.use_checkpoint = true;
     opts.checkpoint_dir = dir;
-    opts.faults = "exec.op_abort=n" + std::to_string(b);
+    ASSERT_TRUE(FaultRegistry::Global()
+                    .Configure("exec.op_abort=n" + std::to_string(b))
+                    .ok());
 
     core::Executor crashing(opts);
     auto crashed = crashing.Run(SmallCorpus(), ops.value());
     FaultRegistry::Global().Reset();
     if (crashed.ok()) {
       // Fewer than b boundaries: the whole matrix for this recipe is done.
-      EXPECT_EQ(data::SerializeDatasetV1(crashed.value()), want_bytes);
+      EXPECT_EQ(data::SerializeDataset(crashed.value()), want_bytes);
       break;
     }
     ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
         << crashed.status().ToString();
     ++boundaries_hit;
 
-    core::Executor::Options resume_opts = opts;
-    resume_opts.faults.clear();
-    core::Executor resuming(resume_opts);
+    core::Executor resuming(opts);
     core::RunReport report;
     auto resumed = resuming.Run(SmallCorpus(), ops.value(), &report);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
@@ -428,7 +474,7 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
       EXPECT_TRUE(report.resumed_from_checkpoint)
           << GetParam() << " boundary " << b;
     }
-    ASSERT_EQ(data::SerializeDatasetV1(resumed.value()), want_bytes)
+    ASSERT_EQ(data::SerializeDataset(resumed.value()), want_bytes)
         << GetParam() << ": resume after kill at boundary " << b
         << " diverged from the uninterrupted run";
     fs::remove_all(dir);
@@ -464,14 +510,74 @@ TEST(ExecutorFaultTest, ProbabilisticAbortIsSeedDeterministic) {
     opts.num_workers = 1;
     opts.use_cache = false;
     opts.use_checkpoint = false;
-    opts.faults = "seed=9;exec.op_abort=p0.4";
+    ScopedFaults faults("seed=9;exec.op_abort=p0.4");
+    EXPECT_TRUE(faults.status().ok());
     core::Executor executor(opts);
     auto result = executor.Run(SmallCorpus(), ops.value());
-    std::string outcome = result.ok() ? "ok" : result.status().ToString();
-    FaultRegistry::Global().Reset();
-    return outcome;
+    return result.ok() ? std::string("ok") : result.status().ToString();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Cache entries and checkpoints in an older on-disk format are refused and
+// rebuilt: the run counts the rejected checkpoint, evicts the unreadable
+// cache entries, and still produces the bytes of a clean run.
+TEST(ExecutorFaultTest, StaleCacheAndCheckpointFormatsRebuildByteIdentical) {
+  auto recipe = core::Recipe::FromFile(
+      (fs::path(DJ_REPO_DIR) / "configs" / "recipes" / "pretrain_general_en.yaml")
+          .string());
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+  auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  FaultRegistry::Global().Reset();
+
+  core::Executor::Options base =
+      core::Executor::OptionsFromRecipe(recipe.value());
+  base.num_workers = 1;
+  base.use_cache = false;
+  base.use_checkpoint = false;
+  core::Executor clean_executor(base);
+  auto clean = clean_executor.Run(SmallCorpus(), ops.value());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const std::string want_bytes = data::SerializeDataset(clean.value());
+
+  const std::string dir = TempDir("stale_formats");
+  core::Executor::Options opts = base;
+  opts.use_cache = true;
+  opts.cache_dir = dir + "/cache";
+  opts.cache_compression = false;
+  opts.use_checkpoint = true;
+  opts.checkpoint_dir = dir + "/ckpt";
+  core::Executor first(opts);
+  ASSERT_TRUE(first.Run(SmallCorpus(), ops.value()).ok());
+
+  // Age the on-disk state: every cache entry becomes a DJDS v2 blob and the
+  // checkpoint manifest a schema-2 one.
+  size_t patched = 0;
+  for (const auto& entry : fs::directory_iterator(opts.cache_dir)) {
+    auto bytes = data::ReadFile(entry.path().string());
+    ASSERT_TRUE(bytes.ok());
+    std::string old = bytes.value();
+    ASSERT_EQ(old[4], 3);
+    old[4] = 2;
+    ASSERT_TRUE(data::WriteFile(entry.path().string(), old).ok());
+    ++patched;
+  }
+  ASSERT_GT(patched, 0u);
+  DowngradeManifestToSchema2(opts.checkpoint_dir);
+
+  obs::MetricsRegistry metrics;
+  opts.metrics = &metrics;
+  core::Executor second(opts);
+  core::RunReport report;
+  auto rebuilt = second.Run(SmallCorpus(), ops.value(), &report);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.cache_hits, 0u);
+  ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
+  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
+  EXPECT_EQ(data::SerializeDataset(rebuilt.value()), want_bytes);
+  fs::remove_all(dir);
 }
 
 }  // namespace

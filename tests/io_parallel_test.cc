@@ -1,5 +1,5 @@
 // Tests for the parallel data plane: chunked JSONL parse/serialize, the
-// sharded DJDS v2 container, and the block-parallel djlz frame. The central
+// sharded DJDS v3 container, and the block-parallel djlz v3 frame. The central
 // property throughout is determinism — a pool must never change the bytes.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "compress/djlz.h"
@@ -72,11 +71,11 @@ Dataset RandomDataset(Rng* rng, size_t rows, size_t cols) {
   return ds;
 }
 
-/// Canonical byte form for dataset equality (v1 is unsharded, so it is a
-/// stable fingerprint that includes nulls and column order).
-std::string Fingerprint(const Dataset& ds) { return SerializeDatasetV1(ds); }
+/// Canonical byte form for dataset equality: the pool-free serialization,
+/// whose bytes depend only on the data (nulls and column order included).
+std::string Fingerprint(const Dataset& ds) { return SerializeDataset(ds); }
 
-// ------------------------------------------------------------ DJDS v2 ----
+// ------------------------------------------------------------ DJDS v3 ----
 
 TEST(DjdsV2Test, RoundTripRandomDatasetsAcrossShardCounts) {
   Rng rng(7);
@@ -117,20 +116,30 @@ TEST(DjdsV2Test, AutoShardCountScalesWithRows) {
   auto back = DeserializeDataset(blob);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(Fingerprint(back.value()), Fingerprint(big));
-  // Sharded v2 of a non-trivial dataset must differ from v1 bytes (it
-  // really is the new container, not a relabeled v1).
-  EXPECT_NE(blob, SerializeDatasetV1(big));
+  // The auto layout really is sharded: it differs from a one-shard blob.
+  EXPECT_NE(blob, SerializeDataset(big, nullptr, 1));
 }
 
-TEST(DjdsV2Test, V1BlobStillDeserializes) {
+TEST(DjdsV2Test, RejectsOtherContainerVersions) {
+  // Only version 3 decodes; the FNV-checksummed v1/v2 blobs of earlier
+  // builds (and any future version) are refused by name, never decoded.
   Rng rng(17);
   Dataset ds = RandomDataset(&rng, 200, 3);
-  std::string v1 = SerializeDatasetV1(ds);
+  const std::string blob = SerializeDataset(ds);
+  ASSERT_EQ(blob[4], 3);
   ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto back = DeserializeDataset(v1, p);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(Fingerprint(back.value()), Fingerprint(ds));
+  for (char version : {1, 2, 4}) {
+    std::string old = blob;
+    old[4] = version;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto back = DeserializeDataset(old, p);
+      ASSERT_FALSE(back.ok());
+      EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(back.status().message().find(
+                    "version " + std::to_string(version)),
+                std::string::npos)
+          << back.status().ToString();
+    }
   }
 }
 
@@ -177,12 +186,16 @@ TEST(DjdsV2Test, RejectsOverflowingVarintLengths) {
   // Header claiming a gigantic column-name length must fail without
   // allocating (the old `*pos + len` check could wrap past the size).
   std::string blob("DJDS", 4);
-  blob.push_back(1);             // v1
+  blob.push_back(3);             // v3
   blob.push_back(1);             // num_rows = 1
   blob.push_back(1);             // num_cols = 1
   for (int i = 0; i < 9; ++i) blob.push_back('\xFF');
   blob.push_back(1);             // 10-byte varint ~ 2^63
-  EXPECT_FALSE(DeserializeDataset(blob).ok());
+  auto r = DeserializeDataset(blob);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("column name"), std::string::npos)
+      << r.status().ToString();
 }
 
 // ---------------------------------------------------------- JSONL plane --
@@ -254,7 +267,7 @@ TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {
   }
 }
 
-// ------------------------------------------------------------ djlz v2 ----
+// ------------------------------------------------------------ djlz v3 ----
 
 TEST(DjlzBlockParallelTest, MultiBlockFrameRoundTrips) {
   Rng rng(41);
@@ -296,32 +309,31 @@ TEST(DjlzBlockParallelTest, DetectsCorruptionInAnyBlock) {
   EXPECT_FALSE(compress::DecompressFrame(frame).ok());
 }
 
-TEST(DjlzBlockParallelTest, V1SingleBlockFrameStillDecompresses) {
-  std::string input = "legacy frame payload legacy frame payload";
-  // Hand-build the old 29-byte-header single-block frame.
-  std::string block = compress::CompressBlock(input);
-  std::string frame("DJLZ", 4);
-  frame.push_back(1);  // version 1
-  auto put_u64 = [&frame](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  put_u64(input.size());
-  put_u64(block.size());
-  put_u64(Fnv1a64(input));
-  frame += block;
+TEST(DjlzBlockParallelTest, RejectsOtherFrameVersions) {
+  // Only version 3 decompresses; the FNV-checksummed v1/v2 frames of
+  // earlier builds are refused by name, never decoded.
+  const std::string frame =
+      compress::CompressFrame("old frame payload old frame payload");
+  ASSERT_EQ(frame[4], 3);
   ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto out = compress::DecompressFrame(frame, p);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(out.value(), input);
+  for (char version : {1, 2}) {
+    std::string old = frame;
+    old[4] = version;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto out = compress::DecompressFrame(old, p);
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(out.status().message().find(
+                    "version " + std::to_string(version)),
+                std::string::npos)
+          << out.status().ToString();
+    }
   }
 }
 
 TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
   std::string frame("DJLZ", 4);
-  frame.push_back(2);  // version 2
+  frame.push_back(3);  // version 3
   auto put_u64 = [&frame](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -329,7 +341,11 @@ TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
   };
   put_u64(100);                    // raw_size
   put_u64(0xFFFFFFFFFFFFFFFFull);  // absurd num_blocks
-  EXPECT_FALSE(compress::DecompressFrame(frame).ok());
+  auto r = compress::DecompressFrame(frame);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("block table"), std::string::npos)
+      << r.status().ToString();
 }
 
 // ------------------------------------------------------ fault injection --

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -355,9 +356,7 @@ TEST(WatchdogTest, ExecutorStallFaultTripsWatchdog) {
   std::vector<std::unique_ptr<ops::Op>> pipeline;
   pipeline.push_back(std::move(op).value());
 
-  core::Executor::Options exec_options;
-  exec_options.fault_stall_seconds = 0.35;
-  core::Executor executor(exec_options);
+  core::Executor executor(core::Executor::Options{});
   auto result = executor.Run(data::Dataset::FromTexts({"a", "b", "a"}),
                              pipeline, nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -432,6 +431,17 @@ TEST(ResourceMonitorTest, ReadPeakRssFromStatusFormat) {
 }
 
 TEST(ResourceMonitorTest, LiveCountersArePlausible) {
+  // /proc/self/stat counts CPU in whole clock ticks (typically 10 ms), so a
+  // process that has barely run reads 0. Burn 50 ms of process CPU first.
+  auto process_cpu_seconds = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+  };
+  volatile uint64_t sink = 0;
+  while (process_cpu_seconds() < 0.05) {
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<uint64_t>(i);
+  }
   EXPECT_GT(ResourceMonitor::CurrentPeakRssBytes(), 0u);
   EXPECT_GE(ResourceMonitor::CurrentPeakRssBytes(),
             ResourceMonitor::CurrentRssBytes() / 2);

@@ -2,20 +2,24 @@
 # One-shot hygiene gate. Stages, in order:
 #   1. configure + build      ASan+UBSan, -Werror
 #   2. ctest                  full suite, lock-order inversions fatal
-#   3. ctest (scalar)         re-run with DJ_FORCE_SCALAR=1 so the SWAR/SIMD
+#   3. ctest (repeat)         the timing-sensitive binaries (profiler,
+#                             concurrency, fault, dist) run 5 times each,
+#                             stopping at the first failure, so a flaky
+#                             test fails the gate
+#   4. ctest (scalar)         re-run with DJ_FORCE_SCALAR=1 so the SWAR/SIMD
 #                             kernels' scalar twins carry the whole suite
-#   4. recipe lint            dj_lint --Werror + plan-explain over every
+#   5. recipe lint            dj_lint --Werror + plan-explain over every
 #                             shipped recipe (no REFUSED plans)
-#   5. source lint            dj_srclint --Werror over the tree, a manifest
+#   6. source lint            dj_srclint --Werror over the tree, a manifest
 #                             regeneration determinism check (regenerate to a
 #                             temp file, must be byte-identical to the
 #                             committed srclint/manifest.json), and a
 #                             must-fail self-test against the seeded
 #                             violations in tests/fixtures/srclint_bad/
-#   6. thread-safety build    clang -Wthread-safety of the DJ_GUARDED_BY
+#   7. thread-safety build    clang -Wthread-safety of the DJ_GUARDED_BY
 #                             annotations (skipped when clang++ is absent)
-#   7. static analysis        clang-tidy / cppcheck (skipped when absent)
-#   8. observability smoke    trace + metrics round-trip — dj_trace_check
+#   8. static analysis        clang-tidy / cppcheck (skipped when absent)
+#   9. observability smoke    trace + metrics round-trip — dj_trace_check
 #                             validates every span/instant/metric name
 #                             against srclint/manifest.json — plus the
 #                             binary-container round-trip, the fault-matrix
@@ -24,7 +28,7 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. TSan                   concurrency-heavy tests, then re-run under
+#  10. TSan                   concurrency-heavy tests, then re-run under
 #                             three seeds of schedule perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
@@ -47,6 +51,13 @@ cmake --build "${build_dir}" -j
 
 echo "== test (lock-order inversions fatal) =="
 DJ_LOCK_ORDER=fatal ctest --test-dir "${build_dir}" --output-on-failure -j4
+
+echo "== repeat timing-sensitive tests (until-fail:5) =="
+# A test that passes only sometimes is a bug: running the binaries whose
+# tests depend on timing, threads or seeded schedules five times turns an
+# intermittent failure into a failed gate instead of a lucky pass.
+DJ_LOCK_ORDER=fatal ctest --test-dir "${build_dir}" --output-on-failure -j4 \
+  --repeat until-fail:5 -R '^(profiler|concurrency|fault|dist)_test$'
 
 echo "== test again with kernels pinned scalar (DJ_FORCE_SCALAR=1) =="
 # The whole suite must pass with the SWAR/SIMD data-plane kernels disabled:
