@@ -16,6 +16,14 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::Observe(double v) {
+  double seen = min_.load(std::memory_order_relaxed);
+  while (v < seen &&
+         !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (v > seen &&
+         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
   size_t idx =
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin();
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -32,12 +40,27 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
   return out;
 }
 
+double Histogram::min() const {
+  return count() == 0 ? -1 : min_.load(std::memory_order_relaxed);
+}
+
+double Histogram::max() const {
+  return count() == 0 ? -1 : max_.load(std::memory_order_relaxed);
+}
+
 double Histogram::Quantile(double q) const {
   if (q < 0 || q > 1) return -1;
   std::vector<uint64_t> counts = BucketCounts();
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   if (total == 0) return -1;
+  // Observed range; lo > hi only while a first Observe is still publishing
+  // it, and then the estimate goes unclamped.
+  const double lo = min_.load(std::memory_order_relaxed);
+  const double hi = max_.load(std::memory_order_relaxed);
+  auto clamped = [&](double estimate) {
+    return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
+  };
   // Rank of the target observation (1-based, rounded up so p95 of three
   // observations is the third); q=0 maps to the first one.
   uint64_t rank =
@@ -50,12 +73,15 @@ double Histogram::Quantile(double q) const {
       seen += counts[i];
       continue;
     }
-    if (i >= bounds_.size()) return bounds_.empty() ? -1 : bounds_.back();
+    if (i >= bounds_.size()) {
+      // Overflow bucket: the maximum is the best estimate past the bounds.
+      return lo <= hi ? hi : (bounds_.empty() ? -1 : bounds_.back());
+    }
     double lower = i == 0 ? 0 : bounds_[i - 1];
     double upper = bounds_[i];
     double within = (static_cast<double>(rank - seen)) /
                     static_cast<double>(counts[i]);
-    return lower + (upper - lower) * within;
+    return clamped(lower + (upper - lower) * within);
   }
   return bounds_.empty() ? -1 : bounds_.back();
 }
@@ -136,6 +162,8 @@ json::Value MetricsRegistry::SnapshotJson() const {
     h.Set("buckets", json::Value(std::move(buckets)));
     h.Set("count", json::Value(histogram->count()));
     h.Set("sum", json::Value(histogram->sum()));
+    h.Set("min", json::Value(histogram->min()));
+    h.Set("max", json::Value(histogram->max()));
     h.Set("p50", json::Value(histogram->Quantile(0.50)));
     h.Set("p95", json::Value(histogram->Quantile(0.95)));
     h.Set("p99", json::Value(histogram->Quantile(0.99)));

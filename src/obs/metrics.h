@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -51,15 +52,19 @@ class Histogram {
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Smallest and largest observation; -1 when empty.
+  double min() const;
+  double max() const;
   const std::vector<double>& bounds() const { return bounds_; }
   /// One count per bound plus the trailing overflow bucket.
   std::vector<uint64_t> BucketCounts() const;
 
   /// Estimated value at quantile `q` in [0, 1], linearly interpolated
   /// within the containing bucket (the classic Prometheus estimate, so
-  /// accuracy is bounded by bucket width). Observations in the overflow
-  /// bucket report the last bound — the histogram cannot see past it.
-  /// Returns -1 when empty or `q` is outside [0, 1].
+  /// accuracy is bounded by bucket width) and clamped to the observed
+  /// [min, max], so no quantile exceeds the largest observation. The
+  /// overflow bucket reports the observed maximum. Returns -1 when empty or
+  /// `q` is outside [0, 1].
   double Quantile(double q) const;
 
  private:
@@ -67,6 +72,8 @@ class Histogram {
   std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Thread-safe registry of named metrics. Get* registers on first use and

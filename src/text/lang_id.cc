@@ -91,34 +91,95 @@ double CjkRatio(std::string_view s) {
 
 LanguageIdentifier::LanguageIdentifier() = default;
 
+size_t LanguageIdentifier::FindSlot(uint64_t gram) const {
+  // Fibonacci hashing: the top slot_bits_ bits of gram * 2^64/phi.
+  size_t i = static_cast<size_t>((gram * 0x9e3779b97f4a7c15ULL) >>
+                                 (64 - slot_bits_));
+  while (slots_[i] != 0 && grams_[slots_[i]] != gram) {
+    i = (i + 1) & (slots_.size() - 1);
+  }
+  return i;
+}
+
+uint32_t LanguageIdentifier::FindOrAddRow(uint64_t gram) {
+  uint32_t& slot = slots_[FindSlot(gram)];
+  if (slot != 0) return slot;
+  const size_t width = profiles_.size();
+  slot = static_cast<uint32_t>(grams_.size());
+  grams_.push_back(gram);
+  // A new gram starts as a copy of the fallback row: no profile has it yet.
+  rows_.resize(rows_.size() + width);
+  std::copy_n(rows_.begin(), width, rows_.end() - width);
+  present_.resize(rows_.size(), false);
+  return slot;
+}
+
 void LanguageIdentifier::AddProfile(const std::string& lang,
                                     std::string_view seed_text) {
-  Profile* profile = nullptr;
-  for (auto& [name, p] : profiles_) {
-    if (name == lang) {
-      profile = &p;
-      break;
+  std::vector<uint64_t> grams = HashedCharNgrams(AsciiToLower(seed_text), 3);
+  size_t k = 0;
+  while (k < profiles_.size() && profiles_[k].lang != lang) ++k;
+  const size_t old_width = profiles_.size();
+  const size_t width = std::max(old_width, k + 1);
+  if (grams_.empty()) grams_.push_back(0);  // row 0, the fallback row
+  const size_t rows = grams_.size();
+  // Room for every gram of the seed to be new, so the table is allocated
+  // once per profile instead of regrown gram by gram: the build runs in
+  // every process's set-up, and reserving touches no pages.
+  const size_t max_rows = rows + grams.size();
+  if (width != old_width) {
+    // Widen every row by one column for the new profile (filled below).
+    std::vector<double> wide;
+    wide.reserve(max_rows * width);
+    wide.resize(rows * width);
+    std::vector<bool> wide_present(rows * width, false);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < old_width; ++c) {
+        wide[r * width + c] = rows_[r * old_width + c];
+        wide_present[r * width + c] = present_[r * old_width + c];
+      }
+    }
+    rows_ = std::move(wide);
+    present_ = std::move(wide_present);
+    profiles_.push_back(Profile{lang});
+  }
+  rows_.reserve(max_rows * width);
+  present_.reserve(max_rows * width);
+  grams_.reserve(max_rows);
+  if (2 * max_rows > slots_.size()) {
+    // Rehash so the table stays at most half full.
+    slot_bits_ = 6;
+    while ((size_t{1} << slot_bits_) < 2 * max_rows) ++slot_bits_;
+    slots_.assign(size_t{1} << slot_bits_, 0);
+    for (size_t r = 1; r < rows; ++r) {
+      slots_[FindSlot(grams_[r])] = static_cast<uint32_t>(r);
     }
   }
-  if (profile == nullptr) {
-    profiles_.emplace_back(lang, Profile{});
-    profile = &profiles_.back().second;
+
+  // Trigram counts per row; a gram no profile had gets its row here.
+  std::vector<uint32_t> counts(max_rows, 0);
+  size_t distinct = 0;
+  for (uint64_t gram : grams) {
+    distinct += counts[FindOrAddRow(gram)]++ == 0 ? 1 : 0;
   }
-  std::string lower = AsciiToLower(seed_text);
-  std::unordered_map<uint64_t, double> counts;
-  double total = 0;
-  for (uint64_t h : HashedCharNgrams(lower, 3)) {
-    counts[h] += 1;
-    total += 1;
-  }
+  double total = static_cast<double>(grams.size());
   // Laplace-smoothed log probabilities; unseen grams get a fallback below
   // the rarest seen gram.
-  double denom = total + static_cast<double>(counts.size()) + 1.0;
-  for (const auto& [h, c] : counts) {
-    profile->log_prob[h] = std::log((c + 1.0) / denom);
+  double denom = total + static_cast<double>(distinct) + 1.0;
+  double fallback = std::log(1.0 / denom) - 1.0;
+  // Re-adding a language extends it: grams it had keep their log probs
+  // unless the new seed has them too; every other cell, the fallback row
+  // included, takes the new fallback.
+  for (size_t r = 0; r < grams_.size(); ++r) {
+    size_t cell = r * width + k;
+    if (counts[r] > 0) {
+      rows_[cell] = std::log((counts[r] + 1.0) / denom);
+      present_[cell] = true;
+    } else if (!present_[cell]) {
+      rows_[cell] = fallback;
+    }
   }
-  profile->fallback_log_prob = std::log(1.0 / denom) - 1.0;
-  profile->cjk_expectation = CjkRatio(seed_text);
+  profiles_[k].cjk_expectation = CjkRatio(seed_text);
 }
 
 const LanguageIdentifier& LanguageIdentifier::Default() {
@@ -138,27 +199,27 @@ std::vector<std::pair<std::string, double>> LanguageIdentifier::ScoresFor(
     std::string_view s) const {
   std::vector<std::pair<std::string, double>> scores;
   if (profiles_.empty()) return scores;
+  const size_t width = profiles_.size();
   std::string lower = AsciiToLower(s);
-  std::vector<uint64_t> grams = HashedCharNgrams(lower, 3);
+  // One probe per trigram feeds every language's sum; each sum adds its log
+  // probs in trigram order.
+  std::vector<double> sums(width, 0.0);
+  size_t grams = 0;
+  for (; grams + 3 <= lower.size(); ++grams) {
+    uint64_t gram = Fnv1a64(std::string_view(lower).substr(grams, 3));
+    const double* cells = rows_.data() + slots_[FindSlot(gram)] * width;
+    for (size_t k = 0; k < width; ++k) sums[k] += cells[k];
+  }
   double cjk = CjkRatio(s);
-  for (const auto& [lang, profile] : profiles_) {
-    double logp = 0;
-    if (!grams.empty()) {
-      for (uint64_t h : grams) {
-        auto it = profile.log_prob.find(h);
-        logp += it != profile.log_prob.end() ? it->second
-                                             : profile.fallback_log_prob;
-      }
-      logp /= static_cast<double>(grams.size());
-    } else {
-      logp = profile.fallback_log_prob;
-    }
+  for (size_t k = 0; k < width; ++k) {
+    // No trigram at all scores the fallback (row 0).
+    double logp = grams > 0 ? sums[k] / static_cast<double>(grams) : rows_[k];
     // CJK-ratio prior: quadratic penalty for mismatch between the observed
     // CJK density and the language's expectation. Weighted strongly enough
     // to dominate on clearly CJK or clearly Latin text.
-    double mismatch = cjk - profile.cjk_expectation;
+    double mismatch = cjk - profiles_[k].cjk_expectation;
     logp -= 6.0 * mismatch * mismatch;
-    scores.emplace_back(lang, logp);
+    scores.emplace_back(profiles_[k].lang, logp);
   }
   return scores;
 }
@@ -198,7 +259,7 @@ double LanguageIdentifier::Score(std::string_view s,
 
 std::vector<std::string> LanguageIdentifier::Languages() const {
   std::vector<std::string> out;
-  for (const auto& [lang, profile] : profiles_) out.push_back(lang);
+  for (const Profile& profile : profiles_) out.push_back(profile.lang);
   return out;
 }
 

@@ -1,9 +1,9 @@
 #ifndef DJ_TEXT_LANG_ID_H_
 #define DJ_TEXT_LANG_ID_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace dj::text {
@@ -38,12 +38,26 @@ class LanguageIdentifier {
 
  private:
   struct Profile {
-    std::unordered_map<uint64_t, double> log_prob;  // trigram hash -> logp
-    double fallback_log_prob = -12.0;
+    std::string lang;
     double cjk_expectation = 0.0;  // expected CJK codepoint ratio
   };
 
-  std::vector<std::pair<std::string, Profile>> profiles_;
+  /// Slot holding `gram`'s row index, or the empty slot (0, which is also
+  /// the fallback row) where it would go.
+  size_t FindSlot(uint64_t gram) const;
+  /// Row index of `gram`, appending a fallback-filled row when absent. The
+  /// caller has reserved room for it.
+  uint32_t FindOrAddRow(uint64_t gram);
+
+  std::vector<Profile> profiles_;
+  // Merged table: trigram hash -> one row of profiles_.size() log probs,
+  // holding each profile's fallback where it lacks the gram. Row 0 is the
+  // fallback row. One probe per trigram scores every language.
+  std::vector<uint32_t> slots_;  // row indexes, open addressing; 0 = empty
+  int slot_bits_ = 0;            // slots_.size() == 1 << slot_bits_
+  std::vector<uint64_t> grams_;  // trigram hash of each row
+  std::vector<double> rows_;     // row-major, profiles_.size() wide
+  std::vector<bool> present_;    // cell holds a seen gram, not a fallback
 
   std::vector<std::pair<std::string, double>> ScoresFor(
       std::string_view s) const;

@@ -1,7 +1,6 @@
 #include "text/ngram.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "text/utf8.h"
@@ -71,8 +70,31 @@ std::vector<uint64_t> HashedCharNgrams(std::string_view s, size_t n) {
 
 double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes) {
   if (gram_hashes.empty()) return 0.0;
-  std::unordered_set<uint64_t> unique(gram_hashes.begin(), gram_hashes.end());
-  return 1.0 - static_cast<double>(unique.size()) /
+  // Distinct count through an open-addressing set (linear probing, load at
+  // most 1/2) in per-thread scratch that is reused across rows. Slot value 0
+  // marks an empty slot, so the gram value 0 is counted on the side.
+  thread_local std::vector<uint64_t> slots;
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * gram_hashes.size()) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  slots.assign(mask + 1, 0);
+  size_t unique = 0;
+  bool seen_zero = false;
+  for (uint64_t h : gram_hashes) {
+    if (h == 0) {
+      unique += seen_zero ? 0 : 1;
+      seen_zero = true;
+      continue;
+    }
+    // Fibonacci hashing: the top bits of h * 2^64/phi pick the home slot.
+    size_t i = static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+    while (slots[i] != 0 && slots[i] != h) i = (i + 1) & mask;
+    if (slots[i] == 0) {
+      slots[i] = h;
+      ++unique;
+    }
+  }
+  return 1.0 - static_cast<double>(unique) /
                    static_cast<double>(gram_hashes.size());
 }
 

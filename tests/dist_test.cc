@@ -104,16 +104,27 @@ TEST(DistributedExecutorTest, RayScalesWithNodes) {
   EXPECT_LT(sixteen.total_seconds, one.total_seconds * 0.7);
 }
 
+// The modeled time a backend adds around the OPs: loading, shuffles and
+// scheduling. Compute is left out because it is measured wall time, and two
+// measurements of the same work are not ordered; every term here is a
+// function of the input bytes and the cluster options only.
+double ModeledNonComputeSeconds(const DistributedReport& r) {
+  return r.load_seconds + r.shuffle_seconds + r.overhead_seconds;
+}
+
 TEST(DistributedExecutorTest, BeamStaysFlatAndSingleNodeFastestAtOne) {
   DistributedReport single = RunBackend(Backend::kSingleNode, 1);
   DistributedReport ray1 = RunBackend(Backend::kRay, 1);
   DistributedReport beam1 = RunBackend(Backend::kBeam, 1);
   DistributedReport beam16 = RunBackend(Backend::kBeam, 16);
-  // Native executor wins the single-server scenario (paper Fig. 10).
-  EXPECT_LT(single.total_seconds, ray1.total_seconds);
-  EXPECT_LT(single.total_seconds, beam1.total_seconds);
-  // Beam's serial loading keeps its total nearly flat.
-  EXPECT_GT(beam16.total_seconds, beam1.total_seconds * 0.7);
+  // Native executor wins the single-server scenario (paper Fig. 10): the
+  // same compute, without the shared-storage load and cluster scheduling.
+  EXPECT_LT(ModeledNonComputeSeconds(single), ModeledNonComputeSeconds(ray1));
+  EXPECT_LT(ModeledNonComputeSeconds(single), ModeledNonComputeSeconds(beam1));
+  // Beam's serial loading keeps its total nearly flat: the part nodes
+  // cannot parallelize does not shrink from 1 to 16 nodes.
+  EXPECT_GT(ModeledNonComputeSeconds(beam16),
+            ModeledNonComputeSeconds(beam1) * 0.7);
 }
 
 TEST(DistributedExecutorTest, BeamLoadDoesNotShrink) {

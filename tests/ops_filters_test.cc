@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "core/executor.h"
+#include "data/io.h"
 #include "json/parser.h"
 #include "ops/filters/field_filters.h"
 #include "ops/filters/lexicon_filters.h"
 #include "ops/filters/model_filters.h"
 #include "ops/filters/stats_filters.h"
+#include "ops/registry.h"
+#include "workload/generator.h"
 
 namespace dj::ops {
 namespace {
@@ -348,6 +352,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RatioFilterCase>& info) {
       return info.param.name;
     });
+
+// ------------------------------------------------- text kernels, pooled --
+
+// The repetition filters count distinct grams in per-thread scratch and the
+// language-id filter shares one identifier across workers. Run under a
+// 4-worker pool (tools/check.sh also runs this binary under TSan), every
+// stat must come out byte-identical to a serial run.
+TEST(TextKernelFilterTest, PooledStatsMatchSerial) {
+  workload::CorpusOptions web;
+  web.style = workload::Style::kWeb;
+  web.num_docs = 300;
+  web.spam_rate = 0.1;
+  web.noise_rate = 0.2;
+  web.foreign_rate = 0.2;
+  web.seed = 11;
+  auto recipe = core::Recipe::FromString(R"(
+process:
+  - language_id_score_filter:
+      min_score: 0.0
+  - character_repetition_filter:
+      max: 1.0
+  - word_repetition_filter:
+      max: 1.0
+)");
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+  std::string serialized[2];
+  for (int workers : {1, 4}) {
+    auto ops = core::BuildOps(recipe.value(), OpRegistry::Global());
+    ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+    core::Executor::Options options;
+    options.num_workers = workers;
+    core::Executor executor(options);
+    auto out = executor.Run(workload::CorpusGenerator(web).Generate(),
+                            ops.value());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value().NumRows(), 300u);
+    serialized[workers == 1 ? 0 : 1] = data::SerializeDataset(out.value());
+  }
+  EXPECT_EQ(serialized[0], serialized[1]);
+}
 
 }  // namespace
 }  // namespace dj::ops

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/executor.h"
 #include "data/io.h"
 #include "ops/registry.h"
@@ -119,6 +120,57 @@ TEST_P(PlanDiffTest, OptimizedPlanIsByteIdenticalToNaive) {
   ASSERT_TRUE(data::ExportDataset(optimized, opt_path).ok());
   EXPECT_EQ(ReadFileBytes(naive_path), ReadFileBytes(opt_path))
       << GetParam() << ": exported JSONL differs between plans";
+}
+
+// Golden digest of the shipped web recipe's JSONL export over a seeded
+// 2k-doc web corpus (the jobbench "web" corpus shape). The constant was
+// recorded before the flat-table rewrite of the character-repetition and
+// language-id kernels, so it pins that the rewrite changed no stat byte;
+// it must hold at np=4 with the optimized plan and at np=1 in recipe order.
+constexpr char kWebRefineGoldenDigest[] = "864c325b88f436278928ef0b5b136ad2";
+
+data::Dataset WebCorpus2k() {
+  workload::CorpusOptions web;
+  web.style = workload::Style::kWeb;
+  web.num_docs = 2000;
+  web.mean_words = 180;
+  web.exact_dup_rate = 0.05;
+  web.near_dup_rate = 0.05;
+  web.boilerplate_rate = 0.2;
+  web.spam_rate = 0.05;
+  web.noise_rate = 0.1;
+  web.foreign_rate = 0.05;
+  web.short_doc_rate = 0.03;
+  web.seed = 7;
+  return workload::CorpusGenerator(web).Generate();
+}
+
+std::string WebRefineDigest(const core::Recipe& recipe, int workers,
+                            bool optimized) {
+  auto ops = core::BuildOps(recipe, ops::OpRegistry::Global());
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  if (!ops.ok()) return "";
+  core::Executor::Options options = core::Executor::OptionsFromRecipe(recipe);
+  options.num_workers = workers;
+  options.use_cache = false;
+  options.use_checkpoint = false;
+  options.op_fusion = optimized;
+  options.op_reorder = optimized;
+  core::Executor executor(options);
+  auto result = executor.Run(WebCorpus2k(), ops.value());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return "";
+  return FingerprintHex(Fingerprint(data::ToJsonl(result.value())));
+}
+
+TEST(WebRefineGoldenTest, ExportMatchesRecordedDigest) {
+  auto recipe = core::Recipe::FromFile(
+      std::string(DJ_REPO_DIR) + "/configs/recipes/pretrain_general_en.yaml");
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+  EXPECT_EQ(WebRefineDigest(recipe.value(), 4, true), kWebRefineGoldenDigest)
+      << "np=4, fusion + reorder";
+  EXPECT_EQ(WebRefineDigest(recipe.value(), 1, false), kWebRefineGoldenDigest)
+      << "np=1, recipe order";
 }
 
 INSTANTIATE_TEST_SUITE_P(

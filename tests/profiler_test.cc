@@ -372,8 +372,21 @@ TEST(HistogramQuantileTest, InterpolatesWithinBuckets) {
   for (int i = 0; i < 10; ++i) h.Observe(0.5);   // bucket [0, 1]
   for (int i = 0; i < 10; ++i) h.Observe(1.5);   // bucket (1, 2]
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.0);   // 10th of 20 = end of bucket 0
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);   // 20th = end of bucket 1
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1.5);   // end of bucket 1, clamped to max
   EXPECT_DOUBLE_EQ(h.Quantile(0.25), 0.5);  // 5th of 10 in [0,1] -> midpoint
+}
+
+TEST(HistogramQuantileTest, NeverLeavesTheObservedRange) {
+  obs::Histogram h(obs::MetricsRegistry::DefaultSecondsBounds());
+  for (double v : {0.1, 0.2, 0.61}) h.Observe(v);
+  EXPECT_DOUBLE_EQ(h.min(), 0.1);
+  EXPECT_DOUBLE_EQ(h.max(), 0.61);
+  EXPECT_LE(h.Quantile(0.95), 0.61);
+  EXPECT_LE(h.Quantile(0.99), 0.61);
+  EXPECT_GE(h.Quantile(0.0), 0.1);
+  obs::Histogram empty({1.0});
+  EXPECT_DOUBLE_EQ(empty.min(), -1);
+  EXPECT_DOUBLE_EQ(empty.max(), -1);
 }
 
 TEST(HistogramQuantileTest, EdgeCases) {
@@ -381,7 +394,7 @@ TEST(HistogramQuantileTest, EdgeCases) {
   EXPECT_DOUBLE_EQ(empty.Quantile(0.5), -1);  // no observations
   obs::Histogram h({1.0, 2.0});
   h.Observe(10.0);                            // overflow bucket
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);     // clamped to the last bound
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 10.0);    // the observed maximum
   EXPECT_DOUBLE_EQ(h.Quantile(-0.1), -1);
   EXPECT_DOUBLE_EQ(h.Quantile(1.1), -1);
 }
@@ -393,7 +406,7 @@ TEST(HistogramQuantileTest, SnapshotJsonCarriesQuantiles) {
   const json::Value* h =
       v.as_object().Find("histograms")->as_object().Find("h");
   ASSERT_NE(h, nullptr);
-  for (const char* key : {"p50", "p95", "p99"}) {
+  for (const char* key : {"min", "max", "p50", "p95", "p99"}) {
     ASSERT_TRUE(h->as_object().Contains(key)) << key;
   }
 }

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "common/random.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "text/lang_id.h"
 #include "text/lexicons.h"
 #include "text/ngram.h"
@@ -299,6 +307,331 @@ TEST(LangIdTest, CustomProfile) {
   id.AddProfile("bb", "bbbb bbb bbbb bbb bbbb");
   EXPECT_EQ(id.Identify("aaa aaaa aaa").lang, "aa");
   EXPECT_EQ(id.Identify("bbb bbbb bbb").lang, "bb");
+}
+
+// --------------------------------- flat-table kernels vs map references ----
+//
+// DuplicateNgramRatio and LanguageIdentifier use open-addressing flat tables.
+// The node-based implementations they replaced live on here as references;
+// every double must match them bit for bit (EXPECT_EQ, not a tolerance),
+// because the filters write these values as stats.
+
+double ReferenceDuplicateNgramRatio(const std::vector<uint64_t>& grams) {
+  if (grams.empty()) return 0.0;
+  std::unordered_set<uint64_t> unique(grams.begin(), grams.end());
+  return 1.0 - static_cast<double>(unique.size()) /
+                   static_cast<double>(grams.size());
+}
+
+double ReferenceCjkRatio(std::string_view s) {
+  size_t pos = 0, total = 0, cjk = 0;
+  uint32_t cp;
+  while (pos < s.size()) {
+    DecodeUtf8(s, &pos, &cp);
+    if (IsWhitespaceCp(cp)) continue;
+    ++total;
+    if (IsCjk(cp)) ++cjk;
+  }
+  return total == 0 ? 0.0 : static_cast<double>(cjk) /
+                                static_cast<double>(total);
+}
+
+// Per-profile unordered_map scoring: five lookups per trigram.
+class ReferenceLanguageIdentifier {
+ public:
+  void AddProfile(const std::string& lang, std::string_view seed_text) {
+    Profile* profile = nullptr;
+    for (auto& [name, p] : profiles_) {
+      if (name == lang) profile = &p;
+    }
+    if (profile == nullptr) {
+      profiles_.emplace_back(lang, Profile{});
+      profile = &profiles_.back().second;
+    }
+    std::unordered_map<uint64_t, double> counts;
+    double total = 0;
+    for (uint64_t h : HashedCharNgrams(AsciiToLower(seed_text), 3)) {
+      counts[h] += 1;
+      total += 1;
+    }
+    double denom = total + static_cast<double>(counts.size()) + 1.0;
+    for (const auto& [h, c] : counts) {
+      profile->log_prob[h] = std::log((c + 1.0) / denom);
+    }
+    profile->fallback_log_prob = std::log(1.0 / denom) - 1.0;
+    profile->cjk_expectation = ReferenceCjkRatio(seed_text);
+  }
+
+  LangScore Identify(std::string_view s) const {
+    auto scores = ScoresFor(s);
+    if (scores.empty()) return {"und", 0.0};
+    double max_logp = scores[0].second;
+    for (const auto& [lang, logp] : scores) max_logp = std::max(max_logp, logp);
+    double z = 0;
+    for (auto& [lang, logp] : scores) {
+      logp = std::exp((logp - max_logp) * 3.0);
+      z += logp;
+    }
+    auto best = std::max_element(
+        scores.begin(), scores.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    return {best->first, best->second / z};
+  }
+
+  double Score(std::string_view s, std::string_view lang) const {
+    auto scores = ScoresFor(s);
+    if (scores.empty()) return 0.0;
+    double max_logp = scores[0].second;
+    for (const auto& [l, logp] : scores) max_logp = std::max(max_logp, logp);
+    double z = 0;
+    double target = -1;
+    for (const auto& [l, logp] : scores) {
+      double e = std::exp((logp - max_logp) * 3.0);
+      z += e;
+      if (l == lang) target = e;
+    }
+    return target < 0 ? 0.0 : target / z;
+  }
+
+ private:
+  struct Profile {
+    std::unordered_map<uint64_t, double> log_prob;
+    double fallback_log_prob = -12.0;
+    double cjk_expectation = 0.0;
+  };
+
+  std::vector<std::pair<std::string, double>> ScoresFor(
+      std::string_view s) const {
+    std::vector<std::pair<std::string, double>> scores;
+    std::vector<uint64_t> grams = HashedCharNgrams(AsciiToLower(s), 3);
+    double cjk = ReferenceCjkRatio(s);
+    for (const auto& [lang, profile] : profiles_) {
+      double logp = 0;
+      if (!grams.empty()) {
+        for (uint64_t h : grams) {
+          auto it = profile.log_prob.find(h);
+          logp += it != profile.log_prob.end() ? it->second
+                                               : profile.fallback_log_prob;
+        }
+        logp /= static_cast<double>(grams.size());
+      } else {
+        logp = profile.fallback_log_prob;
+      }
+      double mismatch = cjk - profile.cjk_expectation;
+      logp -= 6.0 * mismatch * mismatch;
+      scores.emplace_back(lang, logp);
+    }
+    return scores;
+  }
+
+  std::vector<std::pair<std::string, Profile>> profiles_;
+};
+
+// Random text mixing ASCII words, Latin-1 letters, CJK ideographs, CJK
+// punctuation, emoji and (when `raw_bytes`) arbitrary bytes, which are
+// usually malformed UTF-8.
+std::string RandomText(Rng* rng, size_t codepoints, bool raw_bytes) {
+  std::string out;
+  for (size_t i = 0; i < codepoints; ++i) {
+    switch (rng->NextBelow(raw_bytes ? 7 : 6)) {
+      case 0:
+      case 1:
+        out.push_back(static_cast<char>('a' + rng->NextBelow(26)));
+        break;
+      case 2:
+        out.push_back(rng->Bernoulli(0.5) ? ' ' : 'E');
+        break;
+      case 3:
+        EncodeUtf8(static_cast<uint32_t>(0xC0 + rng->NextBelow(0x40)), &out);
+        break;
+      case 4:
+        EncodeUtf8(static_cast<uint32_t>(0x4E00 + rng->NextBelow(0x5200)),
+                   &out);
+        break;
+      case 5:
+        EncodeUtf8(rng->Bernoulli(0.5)
+                       ? static_cast<uint32_t>(0x3000 + rng->NextBelow(0x40))
+                       : static_cast<uint32_t>(0x1F300 + rng->NextBelow(0x300)),
+                   &out);
+        break;
+      default:
+        out.push_back(static_cast<char>(rng->NextBelow(256)));
+        break;
+    }
+  }
+  return out;
+}
+
+// Texts the kernels are checked on: the fixtures of the tests above, a
+// repetitive line, edge lengths around the gram sizes, then seeded random
+// UTF-8 and pure-CJK strings.
+std::vector<std::string> KernelTexts() {
+  std::vector<std::string> texts = {
+      "",
+      "a",
+      "ab",
+      "abc",
+      "abcdefghi",
+      "abcdefghij",
+      "The committee published a detailed report about the economy and the "
+      "people who live in the region.",
+      "\xe7\xa0\x94\xe7\xa9\xb6\xe4\xba\xba\xe5\x91\x98\xe5\x88\x86\xe6\x9e\x90"
+      "\xe4\xba\x86\xe5\xae\x9e\xe9\xaa\x8c\xe7\xbb\x93\xe6\x9e\x9c\xe3\x80\x82",
+      "die forscher beschreiben das verfahren und die ergebnisse des "
+      "experiments mit grosser sorgfalt und vielen worten",
+      "the researchers describe the results of the experiment",
+      "aaa aaaa aaa",
+      "bbb bbbb bbb",
+      "buy now buy now buy now buy now buy now buy now buy now buy now",
+  };
+  Rng rng(20261019);
+  for (int i = 0; i < 40; ++i) {
+    texts.push_back(RandomText(&rng, 1 + rng.NextBelow(400), i % 2 == 1));
+  }
+  for (int i = 0; i < 10; ++i) {
+    std::string cjk;
+    size_t n = 1 + rng.NextBelow(200);
+    for (size_t j = 0; j < n; ++j) {
+      EncodeUtf8(static_cast<uint32_t>(0x4E00 + rng.NextBelow(64)), &cjk);
+    }
+    texts.push_back(cjk);
+  }
+  return texts;
+}
+
+TEST(FlatKernelTest, DuplicateRatioMatchesSetOnGramVectors) {
+  std::vector<std::vector<uint64_t>> cases = {
+      {},
+      {0},
+      {0, 0, 0},
+      {0, 1, 0, 1},
+      {42},
+      std::vector<uint64_t>(1000, 7),
+      std::vector<uint64_t>(70000, 0xffffffffffffffffULL),
+  };
+  Rng rng(13);
+  for (size_t size : {2u, 3u, 17u, 64u, 1000u, 1300u, 70000u, 140000u}) {
+    // Wide values (few repeats), then a narrow range (many repeats, long
+    // probe chains) that includes 0, then values sharing their top bits.
+    std::vector<uint64_t> wide, narrow, high;
+    for (size_t i = 0; i < size; ++i) {
+      wide.push_back(rng.Next());
+      narrow.push_back(rng.NextBelow(size / 2 + 1));
+      high.push_back((rng.NextBelow(size) << 1) | 0xff00000000000000ULL);
+    }
+    cases.push_back(std::move(wide));
+    cases.push_back(std::move(narrow));
+    cases.push_back(std::move(high));
+  }
+  for (const auto& grams : cases) {
+    EXPECT_EQ(DuplicateNgramRatio(grams), ReferenceDuplicateNgramRatio(grams))
+        << "size " << grams.size();
+  }
+}
+
+TEST(FlatKernelTest, CharRepRatioMatchesSetOnTexts) {
+  for (const std::string& text : KernelTexts()) {
+    for (size_t n : {3u, 10u}) {
+      std::vector<uint64_t> grams = HashedCharNgrams(text, n);
+      EXPECT_EQ(DuplicateNgramRatio(grams), ReferenceDuplicateNgramRatio(grams))
+          << "n=" << n << " text: " << text;
+    }
+  }
+}
+
+// Seed texts for identifiers built the same way on both implementations.
+std::vector<std::pair<std::string, std::string>> KernelSeeds() {
+  return {
+      {"en", "the quick brown fox jumps over the lazy dog. this is a sentence "
+             "about the world and the people who live in it."},
+      {"de", "der schnelle braune fuchs springt ueber den faulen hund. das ist "
+             "ein satz ueber die welt und die menschen die darin leben."},
+      {"fr", "le rapide renard brun saute par dessus le chien paresseux. ceci "
+             "est une phrase sur le monde et les gens qui y vivent."},
+      {"es", "el rapido zorro marron salta sobre el perro perezoso. esta es "
+             "una frase sobre el mundo y la gente que vive en el."},
+      {"zh", "\xe4\xbb\x8a\xe5\xa4\xa9\xe5\xa4\xa9\xe6\xb0\x94\xe5\xbe\x88\xe5"
+             "\xa5\xbd\xe3\x80\x82\xe6\x88\x91\xe4\xbb\xac\xe5\x9c\xa8\xe5\x85"
+             "\xac\xe5\x9b\xad\xe9\x87\x8c\xe6\x95\xa3\xe6\xad\xa5\xe3\x80\x82"},
+  };
+}
+
+void ExpectSameScores(const LanguageIdentifier& id,
+                      const ReferenceLanguageIdentifier& ref,
+                      const std::vector<std::string>& texts) {
+  for (const std::string& text : texts) {
+    LangScore got = id.Identify(text);
+    LangScore want = ref.Identify(text);
+    EXPECT_EQ(got.lang, want.lang) << text;
+    EXPECT_EQ(got.confidence, want.confidence) << text;
+    for (const std::string& lang : id.Languages()) {
+      EXPECT_EQ(id.Score(text, lang), ref.Score(text, lang))
+          << lang << " on " << text;
+    }
+    EXPECT_EQ(id.Score(text, "klingon"), ref.Score(text, "klingon"));
+  }
+}
+
+TEST(FlatKernelTest, LanguageScoresMatchPerProfileMaps) {
+  LanguageIdentifier id;
+  ReferenceLanguageIdentifier ref;
+  std::vector<std::string> texts = KernelTexts();
+  for (const auto& [lang, seed] : KernelSeeds()) {
+    id.AddProfile(lang, seed);
+    ref.AddProfile(lang, seed);
+    texts.push_back(seed);
+    // Checked after every profile, so each width of the table is covered.
+    ExpectSameScores(id, ref, texts);
+  }
+}
+
+TEST(FlatKernelTest, ReAddedProfileExtendsLikeTheMaps) {
+  // Re-adding a language keeps the grams only its first seed had, takes the
+  // second seed's log probs for grams in both, and the second seed's
+  // fallback everywhere else.
+  LanguageIdentifier id;
+  ReferenceLanguageIdentifier ref;
+  const std::pair<const char*, const char*> adds[] = {
+      {"aa", "aaaa aaa xyzzy aaaa"},
+      {"bb", "bbbb bbb bbbb bbb bbbb"},
+      {"aa", "aaa qqq aaa qqq aaa qqq aaa qqq"},
+  };
+  for (const auto& [lang, seed] : adds) {
+    id.AddProfile(lang, seed);
+    ref.AddProfile(lang, seed);
+  }
+  EXPECT_EQ(id.Languages(), (std::vector<std::string>{"aa", "bb"}));
+  std::vector<std::string> texts = KernelTexts();
+  for (const char* probe : {"xyzzy xyzzy", "qqq aaa", "aaaa", "bbb zzz"}) {
+    texts.push_back(probe);
+  }
+  ExpectSameScores(id, ref, texts);
+  // The first seed's grams survive: a profile built from the second seed
+  // alone scores "xyzzy" lower.
+  LanguageIdentifier fresh;
+  fresh.AddProfile("aa", "aaa qqq aaa qqq aaa qqq aaa qqq");
+  fresh.AddProfile("bb", "bbbb bbb bbbb bbb bbbb");
+  EXPECT_GT(id.Score("xyzzy xyzzy", "aa"), fresh.Score("xyzzy xyzzy", "aa"));
+}
+
+TEST(FlatKernelTest, PooledCallsMatchTheReferences) {
+  // Per-thread scratch and the shared identifier under a 4-thread pool;
+  // tools/check.sh runs this binary under TSan too.
+  const LanguageIdentifier& id = LanguageIdentifier::Default();
+  std::vector<std::string> texts = KernelTexts();
+  std::vector<double> rep(texts.size()), lang(texts.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(texts.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      rep[i] = DuplicateNgramRatio(HashedCharNgrams(texts[i], 10));
+      lang[i] = id.Score(texts[i], "en");
+    }
+  });
+  for (size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(rep[i],
+              ReferenceDuplicateNgramRatio(HashedCharNgrams(texts[i], 10)));
+    EXPECT_EQ(lang[i], id.Score(texts[i], "en"));
+  }
 }
 
 // ----------------------------------------------------------- ngram LM ----

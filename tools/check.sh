@@ -28,8 +28,11 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#  10. TSan                   concurrency-heavy tests, then re-run under
-#                             three seeds of schedule perturbation (DJ_SCHED)
+#  10. TSan                   concurrency-heavy tests, plus text_test and
+#                             ops_filters_test (the text kernels keep
+#                             per-thread scratch and run under the pool),
+#                             then re-run under three seeds of schedule
+#                             perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
@@ -268,7 +271,7 @@ if [ "${degrade_rc}" -ne 1 ]; then
   exit 1
 fi
 
-echo "== TSan pass (core/dist/obs + parallel I/O + fault tests) =="
+echo "== TSan pass (core/dist/obs + parallel I/O + fault + text kernel tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
 # that tests/concurrency_test.cc constructs on purpose (see tools/tsan.supp).
 export TSAN_OPTIONS="suppressions=${repo_dir}/tools/tsan.supp"
@@ -278,8 +281,10 @@ cmake -B "${tsan_dir}" -S "${repo_dir}" \
   -DDJ_SANITIZE=thread
 cmake --build "${tsan_dir}" -j --target \
   core_test dist_test obs_test data_test io_parallel_test compress_test \
-  fault_test concurrency_test swar_test
+  fault_test concurrency_test swar_test text_test ops_filters_test
 "${tsan_dir}/tests/swar_test"
+"${tsan_dir}/tests/text_test"
+"${tsan_dir}/tests/ops_filters_test"
 "${tsan_dir}/tests/concurrency_test"
 "${tsan_dir}/tests/core_test"
 "${tsan_dir}/tests/dist_test"
